@@ -31,6 +31,9 @@ pub struct Shape {
     min_hd: u32,
     target_lengths: &'static [u32],
     max_weight: u32,
+    /// IEEE 802.3's verdict on the screen (`min_hd` at the first length),
+    /// which the set-up's warm-up must reproduce.
+    warm_verdict: FilterVerdict,
 }
 
 /// Draws per tap-count stratum: a repetition screens 32 candidates.
@@ -41,6 +44,7 @@ pub const CENSUS32_HD6: Shape = Shape {
     min_hd: 6,
     target_lengths: &[12_112],
     max_weight: 6,
+    warm_verdict: FilterVerdict::FailAt(4),
 };
 
 pub const SURVIVORS32_MTU: Shape = Shape {
@@ -48,6 +52,8 @@ pub const SURVIVORS32_MTU: Shape = Shape {
     min_hd: 4,
     target_lengths: &[1024, 12_112],
     max_weight: 4,
+    // 802.3 has HD 5 at 1024 bits.
+    warm_verdict: FilterVerdict::Pass,
 };
 
 /// The paper's generators that keep HD = 6 at the 12112-bit MTU.
@@ -55,8 +61,13 @@ const HD6_AT_MTU: [u64; 3] = [0xBA0D_C66B, 0xFA56_7D89, 0x992C_1A4C];
 /// IEEE 802.3, which has HD = 4 at the MTU.
 const IEEE_802_3: u64 = 0x8260_8EDB;
 
-/// Setups per run, for a steady `setup_s` median.
-const SETUPS: usize = 5;
+/// Set-ups per run, for a steady `setup_s` median. The first few set-ups
+/// after a campaign run are slow while caches and the allocator warm up
+/// again (for survivors32_mtu: about 1 ms, falling to 0.5 ms over five
+/// set-ups). A survivors32_mtu run holds only three to six repetitions,
+/// so most of its set-ups are timed after them, enough for the median to
+/// fall among the settled ones.
+const SETUPS: usize = 64;
 /// Rejections (census32_hd6) or survivors (survivors32_mtu) re-checked
 /// against the scratch reference per run.
 const REFERENCE_SAMPLE: usize = 6;
@@ -89,16 +100,20 @@ fn g32(koopman: u64) -> Result<GenPoly, String> {
 }
 
 /// Builds a campaign directory for repetition `k` and warms up: input
-/// generation, `Campaign::create`, and one filter run of 802.3 at the
-/// MTU (which must fail at weight 4).
+/// generation, `Campaign::create`, and one run of the campaign's screen
+/// on 802.3, whose verdict is known.
 fn setup(shape: &Shape, ctx: &Ctx, k: u64, tag: &str) -> Result<Campaign, String> {
     let cfg = shape.config(sub_seed(ctx.seed, k));
+    let (len, min_hd) = (cfg.screen_len(), cfg.min_hd);
     let dir = ctx.out_dir.join(format!("{}-{k}-{tag}", shape.name));
     let _ = std::fs::remove_dir_all(&dir);
     let campaign = Campaign::create(&dir, cfg).map_err(|e| e.to_string())?;
-    let warm = hd_filter(&g32(IEEE_802_3)?, 12_112, 6).map_err(|e| e.to_string())?;
-    if warm != FilterVerdict::FailAt(4) {
-        return Err(format!("802.3 at 12112 bits: {warm:?}, expected FailAt(4)"));
+    let warm = hd_filter(&g32(IEEE_802_3)?, len, min_hd).map_err(|e| e.to_string())?;
+    if warm != shape.warm_verdict {
+        return Err(format!(
+            "802.3, HD >= {min_hd} at {len} bits: {warm:?}, expected {:?}",
+            shape.warm_verdict
+        ));
     }
     Ok(campaign)
 }
@@ -144,15 +159,20 @@ fn shard_logs(campaign: &Campaign) -> Result<Vec<String>, String> {
 /// directory at `nproc` threads (the local pool). `census32_hd6` runs the
 /// same draws again at one thread — what one `survey work` process of a
 /// distributed census evaluates — and the two runs' shard logs must be
-/// byte-identical. Rates are medians over the repetitions: a rare
-/// candidate costs 100× the typical one (0xFF7FFF7F sweeps weight 4 to
-/// the MTU in 1.6 s), so a pooled rate would swing with whether a run
-/// drew one.
+/// byte-identical. `census32_hd6`'s rates are medians over the
+/// repetitions: a rare candidate costs 100× the typical one (0xFF7FFF7F
+/// sweeps weight 4 to the MTU in 1.6 s), so a pooled rate would swing
+/// with whether a run drew one. `survivors32_mtu`'s rates are pooled, the
+/// run's work over its wall time: a survivor's cost varies little (it is
+/// mostly `weights234` at the MTU), and a run holds only a few
+/// repetitions, so a median would report the host's speed during one of
+/// them where the pooled rate averages it over the run.
 pub fn e2e(shape: &Shape, ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), String> {
     let mut setups = Vec::new();
-    // census32_hd6: candidates per second at nproc threads and at one
-    // thread; survivors32_mtu: survivors and candidates per second.
-    let mut rates = [Vec::new(), Vec::new()];
+    // (operations, wall seconds) per repetition for each rate.
+    // census32_hd6: candidates at nproc threads and at one thread;
+    // survivors32_mtu: survivors and candidates at nproc threads.
+    let mut runs: [Vec<(f64, f64)>; 2] = [Vec::new(), Vec::new()];
     let mut first: Option<Campaign> = None;
     let thread_counts = if shape.is_census() {
         vec![ctx.threads, 1]
@@ -174,10 +194,10 @@ pub fn e2e(shape: &Shape, ctx: &Ctx, budget: Duration, report: &mut Report) -> R
                 format!("funnel telemetry {funnel:?} disagrees with run summary {summary:?}")
             });
             if shape.is_census() {
-                rates[i].push(summary.scanned as f64 / wall);
+                runs[i].push((summary.scanned as f64, wall));
             } else {
-                rates[0].push(summary.survivors as f64 / wall);
-                rates[1].push(summary.scanned as f64 / wall);
+                runs[0].push((summary.survivors as f64, wall));
+                runs[1].push((summary.scanned as f64, wall));
             }
             logs.push(shard_logs(&campaign)?);
             if first.is_none() {
@@ -205,7 +225,13 @@ pub fn e2e(shape: &Shape, ctx: &Ctx, budget: Duration, report: &mut Report) -> R
     } else {
         ("survivors_per_s", "polys_per_s")
     };
-    let rates = rates.map(|r| median(&r));
+    let rates = runs.map(|r| {
+        if shape.is_census() {
+            median(&r.iter().map(|(n, s)| n / s).collect::<Vec<_>>())
+        } else {
+            r.iter().map(|(n, _)| n).sum::<f64>() / r.iter().map(|(_, s)| s).sum::<f64>()
+        }
+    });
     report.metric("setup_s", median(&setups), "s");
     report.metric("ops_per_s", rates[0], "1/s");
     report.note(what, rates[0], "1/s");
@@ -336,7 +362,7 @@ fn weight_span(w: u32) -> &'static str {
         2 => "workspace.w2",
         3 => "workspace.w3",
         4 => "workspace.w4",
-        _ => "workspace.w5plus",
+        _ => "workspace.mitm",
     }
 }
 
@@ -376,8 +402,9 @@ fn filter_kernels(
 }
 
 /// `HdProfile::compute_in`'s `d_min` chain, one span per call (weights
-/// 5 and up are the meet-in-the-middle searches); the profile
-/// `compute_in` then returns from the deposited memo must match.
+/// 5 and up are the meet-in-the-middle searches, `workspace.mitm` as in
+/// the filter); the profile `compute_in` then returns from the deposited
+/// memo must match.
 fn profile_kernels(
     cfg: &CampaignConfig,
     ws: &mut SyndromeWorkspace,
@@ -427,6 +454,31 @@ fn profile_kernels(
         ));
     }
     Ok(profile)
+}
+
+/// The paper's HD = 6 generators profiled at the MTU to the workload's
+/// `max_weight`, with the replay's span names. Each `d_min(6)` is a
+/// meet-in-the-middle search. The census draws reach weight 5 about once
+/// in a few hundred, so `workspace.mitm_us` is timed on this fixed work,
+/// once per traced run; the draws' own searches give `workspace.mitm_share`.
+fn mitm_probe(cfg: &CampaignConfig) -> Result<Vec<Span>, String> {
+    let mut tr = Tracer::new(Instant::now());
+    let mut ws = SyndromeWorkspace::new();
+    for k in HD6_AT_MTU {
+        let g = g32(k)?;
+        tr.open("probe.hd6", k);
+        let profiled = profile_kernels(cfg, &mut ws, &g, &mut tr);
+        tr.close();
+        let profile = profiled?;
+        if profile.dmins().first().map(|&(w, _)| w) != Some(6) {
+            return Err(format!(
+                "{k:#X} at {} bits: profile {:?}, expected HD 6",
+                cfg.ref_len(),
+                profile.dmins()
+            ));
+        }
+    }
+    Ok(tr.into_spans())
 }
 
 /// One candidate through the campaign's stages (`SurvivorRecord::screen_in`
@@ -575,6 +627,13 @@ pub fn traced(
     let mut unit_ms = Vec::new();
     let mut busy_shares = Vec::new();
     let mut tail_idle = Vec::new();
+    let t0 = Instant::now();
+    let probe = if shape.is_census() {
+        mitm_probe(&shape.config(ctx.seed))?
+    } else {
+        Vec::new()
+    };
+    let budget = budget.saturating_sub(t0.elapsed());
     repeat_within(budget, 1, |k| {
         let mut campaign = setup(shape, ctx, k, "traced")?;
         let (summary, untraced_s, funnel) = run_untraced(&mut campaign, ctx.threads)?;
@@ -674,6 +733,14 @@ pub fn traced(
             "us",
         );
         report.metric("workspace.w4_share", share("workspace.w4"), "share");
+        let (probe_layers, _) = trace::layers(std::slice::from_ref(&probe));
+        let mitm: Vec<f64> = probe_layers
+            .get("workspace.mitm")
+            .map_or_else(Vec::new, |l| {
+                l.durs.iter().map(|&d| d as f64 / 1e3).collect()
+            });
+        report.summary("workspace.mitm_us", Summary::of(&mitm), "us");
+        report.metric("workspace.mitm_share", share("workspace.mitm"), "share");
         for w in 2..=5 {
             report.metric(
                 &format!("workspace.kills_w{w}"),
@@ -731,5 +798,6 @@ pub fn traced(
         );
     }
     report.metric("trace.overhead_share", median(&overheads), "share");
+    all_spans.push(probe);
     trace::save(ctx, shape.name, &all_spans)
 }

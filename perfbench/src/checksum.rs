@@ -29,6 +29,9 @@ const BULK_BUFFERS: usize = 4;
 /// 64 KiB references per pass (about 4 ms).
 const BULK_CALLS: usize = 1 << 10;
 const SETUPS: usize = 5;
+/// The timed run alternates IMIX and bulk passes in this many blocks, so
+/// that both rates sample the whole run.
+const BLOCKS: u32 = 12;
 /// Calls per traced `crckit.checksum` span.
 const SPAN_CALLS: usize = 256;
 
@@ -129,30 +132,42 @@ fn setup(seed: u64, threads: usize) -> Inputs {
     Inputs { crc, imix, bulk }
 }
 
-/// Runs passes over every stream at once, one thread per stream, for
-/// `budget`; every pass's digest must equal its slice8 replay's. Returns
-/// the sum over threads of each thread's median calls per second.
-fn timed_passes(crc: &Crc, streams: &[Stream], budget: Duration, report: &mut Report) -> f64 {
-    let expect: Vec<u64> = streams
+/// The digest of one slice8 pass over each stream.
+fn slice8_digests(crc: &Crc, streams: &[Stream]) -> Vec<u64> {
+    streams
         .iter()
         .map(|s| s.pass(|b| crc.checksum_with(EngineKind::Slice8, b)))
-        .collect();
-    let per_thread: Vec<(Vec<f64>, u64, u64)> = std::thread::scope(|scope| {
+        .collect()
+}
+
+/// Calls made and seconds spent by each thread of a timed run.
+type Tally = Vec<(u64, f64)>;
+
+/// Runs passes over every stream at once, one thread per stream, for
+/// `budget`, and adds each thread's calls and time to `tally`; every
+/// pass's digest must equal its slice8 replay's.
+fn timed_passes(
+    crc: &Crc,
+    streams: &[Stream],
+    expect: &[u64],
+    budget: Duration,
+    tally: &mut Tally,
+    report: &mut Report,
+) {
+    let per_thread: Vec<(u64, f64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .iter()
-            .zip(&expect)
+            .zip(expect)
             .map(|(stream, &expect)| {
                 scope.spawn(move || {
-                    let (mut rates, mut calls, mut bad) = (Vec::new(), 0, 0);
+                    let (mut calls, mut bad) = (0, 0);
                     let t0 = Instant::now();
-                    while rates.len() < 5 || t0.elapsed() < budget {
-                        let t = Instant::now();
+                    while calls == 0 || t0.elapsed() < budget {
                         let d = stream.pass(|b| crc.checksum(b));
-                        rates.push(stream.order.len() as f64 / t.elapsed().as_secs_f64());
                         calls += stream.order.len() as u64;
                         bad += u64::from(d != expect);
                     }
-                    (rates, calls, bad)
+                    (calls, t0.elapsed().as_secs_f64(), bad)
                 })
             })
             .collect();
@@ -161,15 +176,20 @@ fn timed_passes(crc: &Crc, streams: &[Stream], budget: Duration, report: &mut Re
             .map(|h| h.join().expect("checksum thread panicked"))
             .collect()
     });
-    let mut total = 0.0;
-    for (rates, calls, bad) in per_thread {
+    tally.resize(per_thread.len(), (0, 0.0));
+    for ((calls, secs, bad), t) in per_thread.into_iter().zip(tally.iter_mut()) {
         report.ops(calls, bad);
         report.gate(bad == 0, || {
             format!("{bad} passes disagree with the slice8 digest")
         });
-        total += median(&rates);
+        t.0 += calls;
+        t.1 += secs;
     }
-    total
+}
+
+/// The sum over threads of each thread's calls per second.
+fn rate(tally: &Tally) -> f64 {
+    tally.iter().map(|&(calls, secs)| calls as f64 / secs).sum()
 }
 
 /// Catalog check values hold on every engine tier.
@@ -197,8 +217,14 @@ pub fn e2e(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), Strin
         setups.push(t.elapsed().as_secs_f64());
     }
     let Inputs { crc, imix, bulk } = inputs.expect("SETUPS > 0");
-    let pkts = timed_passes(&crc, &imix, budget / 2, report);
-    let bufs = timed_passes(&crc, &bulk, budget / 2, report);
+    let (imix_digests, bulk_digests) = (slice8_digests(&crc, &imix), slice8_digests(&crc, &bulk));
+    let (mut pkts, mut bufs) = (Tally::new(), Tally::new());
+    let block = budget / (2 * BLOCKS);
+    for _ in 0..BLOCKS {
+        timed_passes(&crc, &imix, &imix_digests, block, &mut pkts, report);
+        timed_passes(&crc, &bulk, &bulk_digests, block, &mut bufs, report);
+    }
+    let (pkts, bufs) = (rate(&pkts), rate(&bufs));
     catalog_gate(report);
     report.metric("setup_s", median(&setups), "s");
     report.metric("ops_per_s", pkts, "1/s");
@@ -236,15 +262,16 @@ pub fn traced(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), St
     // One thread: the traced split times calls, not the host's cores.
     let Inputs { crc, imix, bulk } = setup(ctx.seed, 1);
     let (imix, bulk) = (&imix[0], &bulk[0]);
-    let expect = imix.pass(|b| crc.checksum_with(EngineKind::Slice8, b));
-    let untraced = timed_passes(&crc, std::slice::from_ref(imix), budget / 8, report);
+    let streams = std::slice::from_ref(imix);
+    let expect = slice8_digests(&crc, streams)[0];
+    let mut untraced = Tally::new();
+    timed_passes(&crc, streams, &[expect], budget / 8, &mut untraced, report);
     // The same passes with spans: one per pass, one per SPAN_CALLS calls.
     let mut tr = Tracer::new(Instant::now());
-    let mut traced = Vec::new();
+    let mut passes = 0;
     let t0 = Instant::now();
-    while traced.len() < 5 || t0.elapsed() < budget / 8 {
-        let t = Instant::now();
-        tr.open("imix.pass", traced.len() as u64);
+    while passes < 5 || t0.elapsed() < budget / 8 {
+        tr.open("imix.pass", passes);
         let mut sums = Vec::with_capacity(imix.order.len());
         for (i, group) in imix.order.chunks(SPAN_CALLS).enumerate() {
             tr.span("crckit.checksum", (i * SPAN_CALLS) as u64, || {
@@ -256,12 +283,13 @@ pub fn traced(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), St
         }
         let d = digest(sums.into_iter());
         tr.close();
-        traced.push(imix.order.len() as f64 / t.elapsed().as_secs_f64());
+        passes += 1;
         report.ops(imix.order.len() as u64, u64::from(d != expect));
         report.gate(d == expect, || {
             "a traced pass disagrees with the slice8 digest".into()
         });
     }
+    let traced = (passes * imix.order.len() as u64) as f64 / t0.elapsed().as_secs_f64();
     let spans = vec![tr.into_spans()];
     let (by_name, busy_ns) = trace::layers(&spans);
     trace::save(ctx, "checksum_imix", &spans)?;
@@ -312,7 +340,7 @@ pub fn traced(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), St
     }
     report.metric(
         "trace.overhead_share",
-        untraced / median(&traced) - 1.0,
+        rate(&untraced) / traced - 1.0,
         "share",
     );
     catalog_gate(report);

@@ -177,6 +177,32 @@ fn run_record(args: &Args, threads: usize) -> String {
     )
 }
 
+/// The workloads a run measures, in order, with each one's share of the
+/// budget. An untraced run measures the named workload (every workload,
+/// one after another, for `all`) for the whole budget. A traced run prints
+/// every per-layer metric, and the per-layer catalogue spans all four
+/// workloads, so it measures the split of each of them: the named
+/// workload first, for half the budget, then the other three in a sixth
+/// each; `all` gives each a quarter.
+fn plan(workload: &str, trace: bool, budget: Duration) -> Vec<(&'static str, Duration)> {
+    if !trace {
+        return WORKLOADS
+            .into_iter()
+            .filter(|w| workload == "all" || workload == *w)
+            .map(|w| (w, budget))
+            .collect();
+    }
+    if workload == "all" {
+        return WORKLOADS.into_iter().map(|w| (w, budget / 4)).collect();
+    }
+    let named = WORKLOADS.into_iter().filter(|w| workload == *w);
+    let others = WORKLOADS.into_iter().filter(|w| workload != *w);
+    named
+        .map(|w| (w, budget / 2))
+        .chain(others.map(|w| (w, budget / 6)))
+        .collect()
+}
+
 fn run_workload(name: &str, ctx: &Ctx, budget: Duration, trace: bool, report: &mut Report) {
     let outcome = match (name, trace) {
         ("census32_hd6", false) => campaign::e2e(&campaign::CENSUS32_HD6, ctx, budget, report),
@@ -229,27 +255,13 @@ fn main() {
     }
     println!("run record: {}", run_record(&args, threads));
 
-    // A traced run prints every per-layer metric, and the per-layer
-    // catalogue spans all four workloads, so it measures the split of
-    // each of them (metric names carry the workload) whatever
-    // `--workload` names.
-    let names: Vec<&str> = if args.trace || args.workload == "all" {
-        WORKLOADS.to_vec()
-    } else {
-        vec![args.workload.as_str()]
-    };
     let budget = Duration::from_secs(args.seconds);
     let mut report = Report::default();
-    for name in &names {
+    for (name, share) in plan(&args.workload, args.trace, budget) {
         println!("{name}{}:", if args.trace { " (traced split)" } else { "" });
-        if names.len() > 1 {
+        if args.trace || args.workload == "all" {
             report.set_prefix(format!("{name}."));
         }
-        let share = if args.trace {
-            budget / names.len() as u32
-        } else {
-            budget
-        };
         run_workload(name, &ctx, share, args.trace, &mut report);
     }
     let _ = std::fs::remove_dir_all(&ctx.out_dir);
@@ -301,6 +313,28 @@ mod tests {
         ] {
             assert!(parse_args(&argv(bad)).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn traced_runs_measure_every_workload_named_one_first() {
+        let secs = Duration::from_secs;
+        assert_eq!(
+            plan("netsim_mtu", false, secs(12)),
+            vec![("netsim_mtu", secs(12))]
+        );
+        assert_eq!(plan("all", false, secs(12)).len(), 4);
+        assert_eq!(
+            plan("netsim_mtu", true, secs(12)),
+            vec![
+                ("netsim_mtu", secs(6)),
+                ("census32_hd6", secs(2)),
+                ("survivors32_mtu", secs(2)),
+                ("checksum_imix", secs(2)),
+            ]
+        );
+        assert!(plan("all", true, secs(12))
+            .iter()
+            .all(|&(_, d)| d == secs(3)));
     }
 
     #[test]
