@@ -12,8 +12,9 @@
 //! `ShardResult::to_json` — and requires its rendered shard logs to be
 //! byte-identical to the untraced run's.
 
+use crate::calib::{self, Calibration};
 use crate::report::Report;
-use crate::stats::{median, Summary};
+use crate::stats::{interquartile_mean, median, Summary};
 use crate::trace::{self, Span, Tracer};
 use crate::{repeat_within, sub_seed, Ctx};
 use crc_hd::costmodel::engine_cost;
@@ -31,19 +32,20 @@ pub struct Shape {
     min_hd: u32,
     target_lengths: &'static [u32],
     max_weight: u32,
+    /// Draws per tap-count stratum: a campaign screens 32 × this many
+    /// candidates.
+    per_stratum: u64,
     /// IEEE 802.3's verdict on the screen (`min_hd` at the first length),
     /// which the set-up's warm-up must reproduce.
     warm_verdict: FilterVerdict,
 }
-
-/// Draws per tap-count stratum: a repetition screens 32 candidates.
-const PER_STRATUM: u64 = 1;
 
 pub const CENSUS32_HD6: Shape = Shape {
     name: "census32_hd6",
     min_hd: 6,
     target_lengths: &[12_112],
     max_weight: 6,
+    per_stratum: 2,
     warm_verdict: FilterVerdict::FailAt(4),
 };
 
@@ -52,6 +54,7 @@ pub const SURVIVORS32_MTU: Shape = Shape {
     min_hd: 4,
     target_lengths: &[1024, 12_112],
     max_weight: 4,
+    per_stratum: 1,
     // 802.3 has HD 5 at 1024 bits.
     warm_verdict: FilterVerdict::Pass,
 };
@@ -64,10 +67,14 @@ const IEEE_802_3: u64 = 0x8260_8EDB;
 /// Set-ups per run, for a steady `setup_s` median. The first few set-ups
 /// after a campaign run are slow while caches and the allocator warm up
 /// again (for survivors32_mtu: about 1 ms, falling to 0.5 ms over five
-/// set-ups). A survivors32_mtu run holds only three to six repetitions,
-/// so most of its set-ups are timed after them, enough for the median to
-/// fall among the settled ones.
+/// set-ups). A survivors32_mtu run holds only a few campaigns, so most of
+/// its set-ups are timed after them, enough for the median to fall among
+/// the settled ones. Set-ups after the timed loop stop at `SETUPS` or
+/// after `SETUP_TOPUP`, whichever comes first.
 const SETUPS: usize = 64;
+const SETUP_TOPUP: Duration = Duration::from_secs(1);
+/// Units of the first census32_hd6 campaign run again at one thread.
+const ONE_THREAD_UNITS: u64 = 8;
 /// Rejections (census32_hd6) or survivors (survivors32_mtu) re-checked
 /// against the scratch reference per run.
 const REFERENCE_SAMPLE: usize = 6;
@@ -80,7 +87,7 @@ impl Shape {
             shards: 32,
             seed,
             mode: Mode::Census {
-                per_stratum: PER_STRATUM,
+                per_stratum: self.per_stratum,
                 classes: Vec::new(),
             },
             min_hd: self.min_hd,
@@ -146,101 +153,193 @@ fn run_untraced(
     Ok((summary, wall, delta(funnel_counters(), before)))
 }
 
-fn shard_logs(campaign: &Campaign) -> Result<Vec<String>, String> {
-    (0..campaign.config().shards)
-        .map(|shard| {
-            let path = campaign.shard_log_path(shard);
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))
-        })
-        .collect()
+/// Runs up to `chunk` units of `campaign` (all pending units for
+/// `None`) at `nproc` threads: (summary, wall seconds, CPU seconds). The
+/// program's own funnel telemetry must count what the call reports:
+/// every draw screened, every survivor recorded.
+fn timed_chunk(
+    campaign: &mut Campaign,
+    ctx: &Ctx,
+    chunk: Option<u64>,
+    report: &mut Report,
+) -> Result<(crc_survey::RunSummary, f64, f64), String> {
+    let before = funnel_counters();
+    let cpu = cpu_seconds();
+    let t = Instant::now();
+    let summary = campaign
+        .run(ctx.threads, chunk)
+        .map_err(|e| e.to_string())?;
+    let wall = t.elapsed().as_secs_f64();
+    let cpu = cpu_seconds() - cpu;
+    let funnel = delta(funnel_counters(), before);
+    let agrees = funnel[0] == summary.scanned && funnel[4] == summary.survivors;
+    report.ops(summary.scanned, u64::from(!agrees));
+    report.gate(agrees, || {
+        format!("funnel telemetry {funnel:?} disagrees with run summary {summary:?}")
+    });
+    Ok((summary, wall, cpu))
 }
 
-/// Each repetition is a census of one draw per stratum into a fresh
-/// directory at `nproc` threads (the local pool). `census32_hd6` runs the
-/// same draws again at one thread — what one `survey work` process of a
-/// distributed census evaluates — and the two runs' shard logs must be
-/// byte-identical. `census32_hd6`'s rates are medians over the
-/// repetitions: a rare candidate costs 100× the typical one (0xFF7FFF7F
+/// Keeps the first complete campaign for the gates and removes the rest.
+fn keep_first(first: &mut Option<Campaign>, done: Campaign) {
+    if first.is_none() {
+        *first = Some(done);
+    } else {
+        let _ = std::fs::remove_dir_all(done.dir());
+    }
+}
+
+/// Each campaign is a census into a fresh directory at `nproc` threads
+/// (the local pool). The rates are interquartile means over timed
+/// samples, each scaled by the mean time of the calibration sweeps run
+/// just before and just after it (see `calib.rs`): the campaign kernels'
+/// speed follows the shared host's caches and memory, which drift more
+/// over minutes than a run can average out.
+///
+/// The first rate counts candidates per wall second. The second counts
+/// per CPU second of the process, which leaves out idle threads: the
+/// per-core rate one `survey work` process of a distributed census sees.
+///
+/// `census32_hd6` times each campaign (two draws per stratum) whole as
+/// one sample: a rare candidate costs 100× the typical one (0xFF7FFF7F
 /// sweeps weight 4 to the MTU in 1.6 s), so a pooled rate would swing
-/// with whether a run drew one. `survivors32_mtu`'s rates are pooled, the
-/// run's work over its wall time: a survivor's cost varies little (it is
-/// mostly `weights234` at the MTU), and a run holds only a few
-/// repetitions, so a median would report the host's speed during one of
-/// them where the pooled rate averages it over the run.
+/// with whether a run drew one; the interquartile mean leaves such
+/// samples out. Its second rate counts candidates. Its
+/// first campaign is run again at one thread after the timed loop, and
+/// the shard logs must be byte-identical.
+///
+/// `survivors32_mtu` (one draw per stratum) times chunks of `2 × nproc`
+/// units (`Campaign::run` with `stop_after`): a survivor costs about
+/// 0.5 s, so a whole campaign takes several seconds and a run would hold
+/// only a few of them. Its second rate counts survivors, whose cost
+/// barely varies, so that the rare cheap rejection in a chunk does not
+/// move it.
 pub fn e2e(shape: &Shape, ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), String> {
     let mut setups = Vec::new();
-    // (operations, wall seconds) per repetition for each rate.
-    // census32_hd6: candidates at nproc threads and at one thread;
-    // survivors32_mtu: survivors and candidates at nproc threads.
-    let mut runs: [Vec<(f64, f64)>; 2] = [Vec::new(), Vec::new()];
-    let mut first: Option<Campaign> = None;
-    let thread_counts = if shape.is_census() {
-        vec![ctx.threads, 1]
+    // Per timed sample: candidates per wall second, and candidates
+    // (census32_hd6) or survivors (survivors32_mtu) per CPU second. A
+    // calibration sweep runs before the first sample and after each one.
+    let mut raw: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let mut calib_s = Vec::new();
+    let calib = Calibration::new();
+    calib_s.push(calib.time(ctx.threads));
+    let chunk = if shape.is_census() {
+        None
     } else {
-        vec![ctx.threads]
+        Some(2 * ctx.threads as u64)
     };
-    repeat_within(budget, 1, |k| {
-        let mut logs = Vec::new();
-        for (i, &threads) in thread_counts.iter().enumerate() {
-            let t = Instant::now();
-            let mut campaign = setup(shape, ctx, k, &format!("t{threads}"))?;
-            setups.push(t.elapsed().as_secs_f64());
-            let (summary, wall, funnel) = run_untraced(&mut campaign, threads)?;
-            // The program's own funnel telemetry must count what the run
-            // reports: every draw screened, every survivor recorded.
-            let agrees = funnel[0] == summary.scanned && funnel[4] == summary.survivors;
-            report.ops(summary.scanned, u64::from(!agrees));
-            report.gate(agrees, || {
-                format!("funnel telemetry {funnel:?} disagrees with run summary {summary:?}")
-            });
-            if shape.is_census() {
-                runs[i].push((summary.scanned as f64, wall));
-            } else {
-                runs[0].push((summary.survivors as f64, wall));
-                runs[1].push((summary.scanned as f64, wall));
+    // The first campaign is kept for the gates; later ones are removed
+    // once complete. A timed sample runs one chunk of the current
+    // campaign, set up anew once the last one is complete.
+    let mut first: Option<Campaign> = None;
+    let mut current: Option<Campaign> = None;
+    repeat_within(budget, 1, |_| {
+        let campaign = match current.as_mut() {
+            Some(c) if !c.is_complete() => c,
+            _ => {
+                if let Some(done) = current.take() {
+                    keep_first(&mut first, done);
+                }
+                let t = Instant::now();
+                let c = setup(shape, ctx, setups.len() as u64, "run")?;
+                setups.push(t.elapsed().as_secs_f64());
+                current.insert(c)
             }
-            logs.push(shard_logs(&campaign)?);
-            if first.is_none() {
-                first = Some(campaign);
-            } else {
-                let _ = std::fs::remove_dir_all(campaign.dir());
-            }
-        }
-        report.gate(logs.windows(2).all(|w| w[0] == w[1]), || {
-            format!(
-                "repetition {k}: shard logs differ between {} threads and 1",
-                ctx.threads
-            )
-        });
+        };
+        let (summary, wall, cpu) = timed_chunk(campaign, ctx, chunk, report)?;
+        calib_s.push(calib.time(ctx.threads));
+        let per_cpu = if shape.is_census() {
+            summary.scanned
+        } else {
+            summary.survivors
+        };
+        raw[0].push(summary.scanned as f64 / wall);
+        raw[1].push(per_cpu as f64 / cpu);
         Ok(())
     })?;
-    for k in setups.len()..SETUPS {
+    // The gates need a complete campaign: one the budget cut short is
+    // finished untimed if it is the first, and removed otherwise.
+    if let Some(mut c) = current.take() {
+        if first.is_none() {
+            while !c.is_complete() {
+                timed_chunk(&mut c, ctx, chunk, report)?;
+            }
+        }
+        keep_first(&mut first, c);
+    }
+    let topup = Instant::now();
+    while setups.len() < SETUPS && topup.elapsed() < SETUP_TOPUP {
         let t = Instant::now();
-        let campaign = setup(shape, ctx, k as u64, "setup")?;
+        let campaign = setup(shape, ctx, setups.len() as u64, "setup")?;
         setups.push(t.elapsed().as_secs_f64());
         let _ = std::fs::remove_dir_all(campaign.dir());
     }
-    let (what, what2) = if shape.is_census() {
-        ("polys_per_s", "polys_per_s_1thread")
-    } else {
-        ("survivors_per_s", "polys_per_s")
-    };
-    let rates = runs.map(|r| {
-        if shape.is_census() {
-            median(&r.iter().map(|(n, s)| n / s).collect::<Vec<_>>())
-        } else {
-            r.iter().map(|(n, _)| n).sum::<f64>() / r.iter().map(|(_, s)| s).sum::<f64>()
-        }
+    // A sample is scaled by the mean of the calibrations on either side.
+    let rates = raw.each_ref().map(|r| {
+        let scaled: Vec<f64> = r
+            .iter()
+            .zip(calib_s.windows(2))
+            .map(|(x, c)| x * (c[0] + c[1]) / 2.0 / calib::REFERENCE_S)
+            .collect();
+        interquartile_mean(&scaled)
     });
+    let raw = raw.map(|r| interquartile_mean(&r));
     report.metric("setup_s", median(&setups), "s");
     report.metric("ops_per_s", rates[0], "1/s");
-    report.note(what, rates[0], "1/s");
+    report.note("polys_per_s, host-scaled", rates[0], "1/s");
+    report.note("polys_per_s, raw", raw[0], "1/s");
     report.metric("ops2_per_s", rates[1], "1/s");
-    report.note(what2, rates[1], "1/s");
+    let what2 = if shape.is_census() {
+        "polys_per_cpu_s"
+    } else {
+        "survivors_per_cpu_s"
+    };
+    report.note(&format!("{what2}, host-scaled"), rates[1], "1/s");
+    report.note(&format!("{what2}, raw"), raw[1], "1/s");
+    report.note("calibration sweep", median(&calib_s), "s");
     let campaign = first.expect("at least one repetition ran");
+    if shape.is_census() {
+        // Gate: the first campaign's first units at one thread give
+        // byte-identical shard logs.
+        let mut one = setup(shape, ctx, 0, "t1")?;
+        one.run(1, Some(ONE_THREAD_UNITS))
+            .map_err(|e| e.to_string())?;
+        let log = |c: &Campaign, shard| std::fs::read_to_string(c.shard_log_path(shard)).ok();
+        let same = (0..ONE_THREAD_UNITS).all(|shard| {
+            let a = log(&one, shard);
+            a.is_some() && a == log(&campaign, shard)
+        });
+        let _ = std::fs::remove_dir_all(one.dir());
+        report.gate(same, || {
+            format!("shard logs differ between {} threads and 1", ctx.threads)
+        });
+    }
     let gated = gates(shape, &campaign, ctx, report);
     let _ = std::fs::remove_dir_all(campaign.dir());
     gated
+}
+
+/// CPU time of the whole process, every thread included, in seconds
+/// (`CLOCK_PROCESS_CPUTIME_ID`). Time the hypervisor gives the virtual
+/// CPU to another guest is not counted.
+fn cpu_seconds() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec for the call's duration.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
 /// The distinct draws of one census unit, exactly as the engine makes

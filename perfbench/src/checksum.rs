@@ -6,7 +6,7 @@
 //! fifth of any of them.
 
 use crate::report::Report;
-use crate::stats::{median, Summary};
+use crate::stats::{interquartile_mean, median, Summary};
 use crate::trace::{self, Tracer};
 use crate::{sub_seed, Ctx};
 use crckit::catalog::{self, CRC32_ISO_HDLC};
@@ -30,8 +30,9 @@ const BULK_BUFFERS: usize = 4;
 const BULK_CALLS: usize = 1 << 10;
 const SETUPS: usize = 5;
 /// The timed run alternates IMIX and bulk passes in this many blocks, so
-/// that both rates sample the whole run.
-const BLOCKS: u32 = 12;
+/// that both rates sample the whole run; each rate is the interquartile
+/// mean of its blocks' rates.
+const BLOCKS: u32 = 48;
 /// Calls per traced `crckit.checksum` span.
 const SPAN_CALLS: usize = 256;
 
@@ -140,20 +141,16 @@ fn slice8_digests(crc: &Crc, streams: &[Stream]) -> Vec<u64> {
         .collect()
 }
 
-/// Calls made and seconds spent by each thread of a timed run.
-type Tally = Vec<(u64, f64)>;
-
 /// Runs passes over every stream at once, one thread per stream, for
-/// `budget`, and adds each thread's calls and time to `tally`; every
-/// pass's digest must equal its slice8 replay's.
+/// `budget`, and returns the sum over threads of each thread's calls per
+/// second; every pass's digest must equal its slice8 replay's.
 fn timed_passes(
     crc: &Crc,
     streams: &[Stream],
     expect: &[u64],
     budget: Duration,
-    tally: &mut Tally,
     report: &mut Report,
-) {
+) -> f64 {
     let per_thread: Vec<(u64, f64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .iter()
@@ -176,20 +173,15 @@ fn timed_passes(
             .map(|h| h.join().expect("checksum thread panicked"))
             .collect()
     });
-    tally.resize(per_thread.len(), (0, 0.0));
-    for ((calls, secs, bad), t) in per_thread.into_iter().zip(tally.iter_mut()) {
+    let mut rate = 0.0;
+    for (calls, secs, bad) in per_thread {
         report.ops(calls, bad);
         report.gate(bad == 0, || {
             format!("{bad} passes disagree with the slice8 digest")
         });
-        t.0 += calls;
-        t.1 += secs;
+        rate += calls as f64 / secs;
     }
-}
-
-/// The sum over threads of each thread's calls per second.
-fn rate(tally: &Tally) -> f64 {
-    tally.iter().map(|&(calls, secs)| calls as f64 / secs).sum()
+    rate
 }
 
 /// Catalog check values hold on every engine tier.
@@ -218,13 +210,13 @@ pub fn e2e(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), Strin
     }
     let Inputs { crc, imix, bulk } = inputs.expect("SETUPS > 0");
     let (imix_digests, bulk_digests) = (slice8_digests(&crc, &imix), slice8_digests(&crc, &bulk));
-    let (mut pkts, mut bufs) = (Tally::new(), Tally::new());
+    let (mut pkts, mut bufs) = (Vec::new(), Vec::new());
     let block = budget / (2 * BLOCKS);
     for _ in 0..BLOCKS {
-        timed_passes(&crc, &imix, &imix_digests, block, &mut pkts, report);
-        timed_passes(&crc, &bulk, &bulk_digests, block, &mut bufs, report);
+        pkts.push(timed_passes(&crc, &imix, &imix_digests, block, report));
+        bufs.push(timed_passes(&crc, &bulk, &bulk_digests, block, report));
     }
-    let (pkts, bufs) = (rate(&pkts), rate(&bufs));
+    let (pkts, bufs) = (interquartile_mean(&pkts), interquartile_mean(&bufs));
     catalog_gate(report);
     report.metric("setup_s", median(&setups), "s");
     report.metric("ops_per_s", pkts, "1/s");
@@ -264,8 +256,7 @@ pub fn traced(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), St
     let (imix, bulk) = (&imix[0], &bulk[0]);
     let streams = std::slice::from_ref(imix);
     let expect = slice8_digests(&crc, streams)[0];
-    let mut untraced = Tally::new();
-    timed_passes(&crc, streams, &[expect], budget / 8, &mut untraced, report);
+    let untraced = timed_passes(&crc, streams, &[expect], budget / 8, report);
     // The same passes with spans: one per pass, one per SPAN_CALLS calls.
     let mut tr = Tracer::new(Instant::now());
     let mut passes = 0;
@@ -338,11 +329,7 @@ pub fn traced(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), St
             "GiB/s",
         );
     }
-    report.metric(
-        "trace.overhead_share",
-        rate(&untraced) / traced - 1.0,
-        "share",
-    );
+    report.metric("trace.overhead_share", untraced / traced - 1.0, "share");
     catalog_gate(report);
     Ok(())
 }

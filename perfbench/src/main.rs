@@ -5,6 +5,7 @@
 //! perfbench --workload <name|all> --seed <u64> --seconds <1..=600> --trace <0|1>
 //! ```
 
+mod calib;
 mod campaign;
 mod checksum;
 mod report;

@@ -89,9 +89,11 @@ pub fn e2e(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), Strin
         setups.push(t.elapsed().as_secs_f64());
     }
     let (codec, phases) = built.expect("SETUPS > 0");
+    // The phases alternate, one timed run each per repetition, so that
+    // both rates sample the whole run.
     let mut rates = [Vec::new(), Vec::new()];
-    for (i, p) in phases.iter().enumerate() {
-        repeat_within(budget / 2, 3, |k| {
+    repeat_within(budget, 3, |k| {
+        for (i, p) in phases.iter().enumerate() {
             let cfg = config(p.trials, sub_seed(ctx.seed, k));
             let t = Instant::now();
             let stats = Simulator::new().run(&codec, p.channel.as_ref(), &cfg);
@@ -108,9 +110,9 @@ pub fn e2e(ctx: &Ctx, budget: Duration, report: &mut Report) -> Result<(), Strin
             report.gate(!bad_total && !bad_bsc, || {
                 format!("{}: tally {stats:?}", p.name)
             });
-            Ok(())
-        })?;
-    }
+        }
+        Ok(())
+    })?;
     report.metric("setup_s", median(&setups), "s");
     report.metric("ops_per_s", median(&rates[0]), "1/s");
     report.note("frames_per_s", median(&rates[0]), "1/s");

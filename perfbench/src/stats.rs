@@ -16,6 +16,20 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// Interquartile mean of `xs`: the mean of the middle half, after the
+/// lowest and the highest quarter (rounded down) are left out; 0 for an
+/// empty slice.
+pub fn interquartile_mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let q = v.len() / 4;
+    let mid = &v[q..v.len() - q];
+    mid.iter().sum::<f64>() / mid.len() as f64
+}
+
 /// A per-call or per-candidate timing: the median, the highest percentile
 /// that still has at least ten samples beyond it, and the sample count.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,6 +66,14 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
+    }
+
+    #[test]
+    fn interquartile_mean_leaves_out_the_outer_quarters() {
+        assert_eq!(interquartile_mean(&[100.0, 2.0, 3.0, -50.0]), 2.5);
+        assert_eq!(interquartile_mean(&[1.0, 2.0, 3.0]), 2.0);
+        assert_eq!(interquartile_mean(&[7.0]), 7.0);
+        assert_eq!(interquartile_mean(&[]), 0.0);
     }
 
     #[test]
