@@ -54,14 +54,30 @@ pub fn poly(koopman: u64) -> GenPoly {
 }
 
 /// Parses a `--flag value` style argument from the command line, falling
-/// back to `default`.
+/// back to `default` when the flag is absent. A flag whose value is
+/// missing or does not parse is an error, not a silent default: the
+/// process prints the error (naming the flag) and exits with status 2.
 pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_flag(&args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The parser behind [`arg_or`], over an explicit argument list: the
+/// value after the first `flag`, `default` when `flag` is absent, and an
+/// error naming the flag when its value is missing or malformed.
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: malformed value {value:?}"))
 }
 
 /// Marked message lengths from Figure 1's x-axis annotations.
@@ -77,6 +93,23 @@ pub const MARKED_LENGTHS: [(u32, &str); 6] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_flag_values_are_errors_naming_the_flag() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
+        let cmd = args(&["bin", "--reps", "x", "--len", "64"]);
+        assert_eq!(parse_flag(&cmd, "--len", 7u32), Ok(64));
+        assert_eq!(parse_flag(&cmd, "--seed", 7u64), Ok(7), "absent flag");
+        let err = parse_flag(&cmd, "--reps", 3usize).unwrap_err();
+        assert!(err.contains("--reps") && err.contains("\"x\""), "{err}");
+        let err = parse_flag(&args(&["bin", "--reps"]), "--reps", 3usize).unwrap_err();
+        assert!(err.contains("--reps"), "{err}");
+        assert!(parse_flag(&args(&["bin", "--len", "-1"]), "--len", 0u32).is_err());
+        assert_eq!(
+            parse_flag(&args(&["bin", "--out", "a.json"]), "--out", String::new()),
+            Ok("a.json".to_string())
+        );
+    }
 
     #[test]
     fn paper_polys_all_parse() {

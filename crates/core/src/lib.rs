@@ -68,9 +68,12 @@
 //!   kernel — ~10× over hash probing on the 13-bit survey scenario);
 //!   through a **compressed two-level index** for widths up to
 //!   [`workspace::TWO_LEVEL_MAX_WIDTH`] — a 16 KiB L1-resident presence
-//!   screen over the low value bits that kills almost every pair-sweep
-//!   probe in one load, backed by a bucket directory over the high bits
-//!   with exact spill rows for colliding buckets (this is the kernel
+//!   screen over the low value bits that kills almost every pair probe
+//!   in one load, backed by a bucket directory over the high bits that
+//!   grows with the positions it holds (L2-resident through the
+//!   Ethernet MTU) with exact spill rows for colliding buckets; one
+//!   mask-then-resolve kernel over 64-position blocks runs both the
+//!   weight-4 hunt and the `weights234` sweep on it (this is the kernel
 //!   that makes the paper's own 32-bit space affordable); and through
 //!   the [`posmap::PosMap`] open-addressing hash beyond that, or at any
 //!   width via [`workspace::IndexPolicy::ForceHash`] as the
@@ -82,9 +85,8 @@
 //!   positions at a time from bit-plane basis rows selected by a block
 //!   anchor, with anchors advanced by one carryless multiply
 //!   (`pclmulqdq` when the CPU has it, soft multiply otherwise —
-//!   [`gf2x`]) per block instead of 64 dependent shift/XOR steps, and
-//!   the pair sweep runs in mask-then-resolve batches over 64-position
-//!   blocks ([`bitslice`]). Output is bit-identical to serial stepping.
+//!   [`gf2x`]) per block instead of 64 dependent shift/XOR steps
+//!   ([`bitslice`]). Output is bit-identical to serial stepping.
 //! * **Persistent MITM subset maps** — weight ≥ 5 searches keep their
 //!   meet-in-the-middle a-subset multimaps on the workspace, extended
 //!   incrementally across the `hd_filter → HdProfile → weights234`

@@ -50,15 +50,27 @@
 //!
 //! * level 0 — a fixed 16 KiB presence *screen* (one bit per low-bits
 //!   slice of the value space) that stays L1-resident and answers the
-//!   overwhelmingly-miss probes of the pair sweep with one load;
-//! * level 1 — a bucket *directory* over the high bits of the value
-//!   (`4 × 2^min(width,20)` bytes). A bucket holds "empty", a single
-//!   first-occurrence position (confirmed with one compare against the
-//!   syndrome table), or a spill marker into a dense `u32` position row
-//!   for the rare colliding buckets — so a surviving probe costs at most
-//!   one directory hop plus one compare, and the structure stays *exact*
-//!   (no false positives or negatives), unlike a plain fingerprint
-//!   filter.
+//!   overwhelmingly-miss probes of the pair searches;
+//! * level 1 — a bucket *directory* over the high bits of the value,
+//!   sized to what it holds: every binding starts at 2^10 buckets and
+//!   the directory doubles, re-bucketing its positions by replay, while
+//!   it holds more than ¼ as many positions as buckets, up to
+//!   `2^min(width, 20)`. A 32-bit weight-4 hunt, which typically stops
+//!   near degree 3 000, probes 2^14 buckets (64 KiB); the 12 142
+//!   positions of the Ethernet MTU take 2^16 (256 KiB). Both stay in
+//!   L2. A bucket holds "empty", a single first-occurrence position
+//!   (confirmed with one compare against the syndrome table), or a spill
+//!   marker into a dense `u32` position row for the colliding buckets,
+//!   so the structure stays *exact* (no false positives or negatives),
+//!   unlike a plain fingerprint filter.
+//!
+//! One pair kernel serves both consumers of the two-level index, the
+//! weight-4 hunt (`d_min(4)`, the screen's dominant cost) and the
+//! `weights234` sweep: a branch-free pass packs the screen bits of 64
+//! probes into a lane mask, and only the set lanes are resolved against
+//! the directory. The screen passes a few percent of probes, a rate
+//! that would defeat the branch predictor of a fused probe-and-branch
+//! loop.
 //!
 //! Beyond [`TWO_LEVEL_MAX_WIDTH`] the workspace keeps the `PosMap`
 //! open-addressing path (also available at every width via
@@ -69,9 +81,8 @@
 //! clears each index by *replaying* the positions it inserted
 //! (`O(indexed)`, not `O(2^width)`), so a campaign worker reuses one
 //! allocation across every candidate. The [`IndexPolicy::Bitsliced`]
-//! policy layers the [`crate::bitslice`] block kernels (bulk syndrome
-//! extension through CLMUL-advanced bit-plane blocks, batch pair-scans)
-//! on top of the two-level index.
+//! policy adds the [`crate::bitslice`] bulk syndrome extension
+//! (CLMUL-advanced bit-plane blocks) on top of the two-level index.
 
 use crate::bitslice::PlaneState;
 use crate::dmin::{dmin2, mitm_scan_with, MitmState};
@@ -107,16 +118,28 @@ const MEMO_WEIGHTS: usize = 33;
 /// the 32-bit space — sits exactly at this ceiling).
 pub const TWO_LEVEL_MAX_WIDTH: u32 = 32;
 
-/// log₂ of the largest two-level bucket directory (`4 × 2^20` = 4 MiB;
-/// widths below this use their full value space and are collision-free).
-/// Collisions only cost spill-row hops, so the directory can stay far
-/// smaller than the 32-bit value space.
-const WIDE_DIR_BITS: u32 = 20;
+/// log₂ of the largest two-level bucket directory (`4 × 2^20` bytes;
+/// widths at or below this end up with their full value space and are
+/// collision-free). Collisions only cost spill-row hops, so the
+/// directory can stay far smaller than the 32-bit value space.
+const WIDE_DIR_MAX_BITS: u32 = 20;
+
+/// log₂ of the bucket directory a fresh binding starts with (4 KiB).
+const WIDE_DIR_MIN_BITS: u32 = 10;
+
+/// The directory doubles once it holds more than `buckets >> this`
+/// positions: at most ¼ full, so 12 k positions (the Ethernet MTU) live
+/// in 2^16 buckets — 256 KiB, inside L2 — and a weight-4 hunt that
+/// stops near degree 3 000 in 2^14 (64 KiB).
+const WIDE_DIR_LOAD_SHIFT: u32 = 2;
 
 /// log₂ of the two-level presence screen in bits (2¹⁷ bits = 16 KiB,
 /// L1-resident; indexed by the *low* value bits, complementing the
 /// high-bits directory).
 const WIDE_SCREEN_BITS: u32 = 17;
+
+/// The presence screen in `u64` words.
+const WIDE_SCREEN_WORDS: usize = 1 << (WIDE_SCREEN_BITS - 6);
 
 /// "Bucket empty" sentinel of the two-level directory.
 const WIDE_EMPTY: u32 = u32::MAX;
@@ -138,10 +161,9 @@ pub enum IndexPolicy {
     /// Force the two-level index at any width ≤ [`TWO_LEVEL_MAX_WIDTH`]
     /// (hash beyond); exercises the wide kernels at narrow widths.
     ForceTwoLevel,
-    /// Two-level index plus the [`crate::bitslice`] block kernels:
-    /// bulk syndrome extension through CLMUL-advanced bit-plane blocks
-    /// and the batch (mask-then-resolve) pair sweep. Falls back to hash
-    /// + serial beyond [`TWO_LEVEL_MAX_WIDTH`].
+    /// Two-level index plus the [`crate::bitslice`] bulk syndrome
+    /// extension through CLMUL-advanced bit-plane blocks. Falls back to
+    /// hash + serial beyond [`TWO_LEVEL_MAX_WIDTH`].
     Bitsliced,
 }
 
@@ -217,20 +239,22 @@ pub struct SyndromeWorkspace {
     hash: PosMap,
     /// Two-level bucket directory over the high `dir_bits` bits of a
     /// value: [`WIDE_EMPTY`], a first-occurrence position, or a
-    /// [`WIDE_SPILL`]-tagged row number. Grow-only across bindings
-    /// (a narrower binding uses a prefix), cleared by replay.
+    /// [`WIDE_SPILL`]-tagged row number. The allocation is grow-only
+    /// across bindings (a binding uses a prefix), cleared by replay.
     dir: Vec<u32>,
-    /// Bits of the value space the directory covers (`min(width, 20)`).
+    /// Bits of the value space the directory covers: starts at
+    /// `min(width, WIDE_DIR_MIN_BITS)` per binding and grows with the
+    /// positions held, up to `min(width, WIDE_DIR_MAX_BITS)`.
     dir_bits: u32,
     /// `width - dir_bits`: the probe's high-bits shift.
     dir_shift: u32,
-    /// Spill rows for the rare buckets holding ≥ 2 distinct values;
+    /// Spill rows for the buckets holding ≥ 2 distinct values;
     /// positions ascending, deduplicated by value (first occurrence).
     rows: Vec<Vec<u32>>,
     /// Two-level presence screen (see [`WIDE_SCREEN_BITS`]); allocated on
     /// first two-level binding, cleared by replay.
     wscreen: Vec<u64>,
-    /// Whether this binding runs the bitsliced block kernels.
+    /// Whether this binding extends syndromes in bit-plane blocks.
     bitsliced: bool,
     /// Bit-plane block state for [`IndexPolicy::Bitsliced`] bindings
     /// (basis + CLMUL modmul context); rebuilt per binding.
@@ -295,12 +319,10 @@ impl SyndromeWorkspace {
             }
             IndexKind::TwoLevel => {
                 for i in 1..=self.indexed {
-                    let v = self.syn[i as usize];
-                    self.dir[(v >> self.dir_shift) as usize] = WIDE_EMPTY;
-                    let low = v as usize & ((1 << WIDE_SCREEN_BITS) - 1);
+                    let low = self.syn[i as usize] as usize & ((1 << WIDE_SCREEN_BITS) - 1);
                     self.wscreen[low >> 6] &= !(1u64 << (low & 63));
                 }
-                self.rows.clear();
+                self.clear_dir();
             }
             IndexKind::Hash => self.hash.clear(),
         }
@@ -333,14 +355,9 @@ impl SyndromeWorkspace {
             }
         }
         if self.kind == IndexKind::TwoLevel {
-            self.dir_bits = g.width().min(WIDE_DIR_BITS);
-            self.dir_shift = g.width() - self.dir_bits;
-            let need = 1usize << self.dir_bits;
-            if self.dir.len() < need {
-                self.dir.resize(need, WIDE_EMPTY);
-            }
+            self.set_dir_bits(g.width(), g.width().min(WIDE_DIR_MIN_BITS));
             if self.wscreen.is_empty() {
-                self.wscreen = vec![0; 1 << (WIDE_SCREEN_BITS - 6)];
+                self.wscreen = vec![0; WIDE_SCREEN_WORDS];
             }
         }
         let seq = SyndromeSeq::new(g);
@@ -401,6 +418,18 @@ impl SyndromeWorkspace {
     /// heap-allocated row. Stays 0 for `Direct` and `Hash` bindings.
     pub fn two_level_spill_rows(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Bucket count of the two-level directory: 2^10 (or the whole value
+    /// space, if smaller) on every new binding, doubling while it holds
+    /// more than ¼ as many positions as buckets, up to
+    /// `2^min(width, 20)`. 0 for `Direct` and `Hash` bindings.
+    pub fn two_level_dir_buckets(&self) -> usize {
+        if self.kind == IndexKind::TwoLevel {
+            1 << self.dir_bits
+        } else {
+            0
+        }
     }
 
     /// Total positions stored across all two-level spill rows — the
@@ -601,34 +630,13 @@ impl SyndromeWorkspace {
                 }
             }
             IndexKind::TwoLevel => {
-                let shift = self.dir_shift;
+                self.grow_dir(upto);
                 while self.indexed < upto {
                     self.indexed += 1;
                     let p = self.indexed;
-                    debug_assert!(p < WIDE_SPILL, "positions stay below the spill tag");
-                    let v = self.syn[p as usize];
-                    let low = v as usize & ((1 << WIDE_SCREEN_BITS) - 1);
+                    let low = self.syn[p as usize] as usize & ((1 << WIDE_SCREEN_BITS) - 1);
                     self.wscreen[low >> 6] |= 1u64 << (low & 63);
-                    let bucket = (v >> shift) as usize;
-                    let e = self.dir[bucket];
-                    if e == WIDE_EMPTY {
-                        self.dir[bucket] = p;
-                    } else if e & WIDE_SPILL != 0 {
-                        let ri = (e & !WIDE_SPILL) as usize;
-                        if !self.rows[ri].iter().any(|&q| self.syn[q as usize] == v) {
-                            self.rows[ri].push(p);
-                        }
-                    } else if self.syn[e as usize] != v {
-                        // Second distinct value in this bucket: spill both
-                        // positions to a dense row (ascending, so the first
-                        // match during a scan is the first occurrence).
-                        let ri = self.rows.len() as u32;
-                        debug_assert!(ri < WIDE_SPILL);
-                        self.rows.push(vec![e, p]);
-                        self.dir[bucket] = WIDE_SPILL | ri;
-                    }
-                    // else: later occurrence of an indexed value — keep the
-                    // first position, exactly like the other index kinds.
+                    self.dir_insert(p);
                 }
             }
             IndexKind::Hash => {
@@ -638,6 +646,76 @@ impl SyndromeWorkspace {
                         .insert(self.syn[self.indexed as usize], self.indexed);
                 }
             }
+        }
+    }
+
+    /// Points the directory at `bits` bits of a `width`-bit value space
+    /// (the allocation only ever grows; entries past the old prefix are
+    /// already empty, because every clear replays what it set).
+    fn set_dir_bits(&mut self, width: u32, bits: u32) {
+        self.dir_bits = bits;
+        self.dir_shift = width - bits;
+        let need = 1usize << bits;
+        if self.dir.len() < need {
+            self.dir.resize(need, WIDE_EMPTY);
+        }
+    }
+
+    /// Empties the directory and its spill rows by replaying the indexed
+    /// positions (`O(indexed)`, not `O(buckets)`).
+    fn clear_dir(&mut self) {
+        for i in 1..=self.indexed {
+            self.dir[(self.syn[i as usize] >> self.dir_shift) as usize] = WIDE_EMPTY;
+        }
+        self.rows.clear();
+    }
+
+    /// Doubles the directory until `upto` positions fill at most a
+    /// `2^-WIDE_DIR_LOAD_SHIFT` share of its buckets (capped at
+    /// `min(width, WIDE_DIR_MAX_BITS)` bits), re-bucketing the positions
+    /// already held — spill rows included — by replaying them in
+    /// position order, so first occurrences stay first.
+    fn grow_dir(&mut self, upto: u32) {
+        let width = self.g.as_ref().expect("workspace is bound").width();
+        let max_bits = width.min(WIDE_DIR_MAX_BITS);
+        let mut bits = self.dir_bits;
+        while bits < max_bits && (upto as usize) << WIDE_DIR_LOAD_SHIFT > 1usize << bits {
+            bits += 1;
+        }
+        if bits == self.dir_bits {
+            return;
+        }
+        self.clear_dir();
+        self.set_dir_bits(width, bits);
+        for p in 1..=self.indexed {
+            self.dir_insert(p);
+        }
+    }
+
+    /// Files position `p` in the directory: an empty bucket takes it, a
+    /// bucket holding another value spills both to a row, and a later
+    /// occurrence of a value already held is dropped (the index keeps
+    /// first occurrences, like the other index kinds).
+    fn dir_insert(&mut self, p: u32) {
+        debug_assert!(p < WIDE_SPILL, "positions stay below the spill tag");
+        let v = self.syn[p as usize];
+        let bucket = (v >> self.dir_shift) as usize;
+        let e = self.dir[bucket];
+        if e == WIDE_EMPTY {
+            self.dir[bucket] = p;
+        } else if e & WIDE_SPILL != 0 {
+            let ri = (e & !WIDE_SPILL) as usize;
+            if !self.rows[ri].iter().any(|&q| self.syn[q as usize] == v) {
+                self.rows[ri].push(p);
+            }
+        } else if self.syn[e as usize] != v {
+            // Second distinct value in this bucket: spill both positions
+            // to a dense row (ascending, so the first match during a scan
+            // is the first occurrence).
+            let ri = self.rows.len() as u32;
+            debug_assert!(ri < WIDE_SPILL);
+            self.rows.push(vec![e, p]);
+            self.dir[bucket] = WIDE_SPILL | ri;
         }
     }
 
@@ -772,13 +850,12 @@ impl SyndromeWorkspace {
                         }
                     })
                 }
-                IndexKind::TwoLevel => {
-                    let (syn, screen) = (&self.syn, &self.wscreen[..]);
-                    let (dir, rows, shift) = (&self.dir[..], &self.rows[..], self.dir_shift);
-                    row_has_pair(syn, t, target, |v| {
-                        twolevel_pos(syn, screen, dir, shift, rows, v)
-                    })
-                }
+                // The hunt never passes degree order + 1, since
+                // `(1 + x)(1 + x^order)` is a weight-4 multiple; up to
+                // there positions 1..t hold distinct values, so pairs
+                // counted once from their smaller side are exactly the
+                // pairs `i ≠ p`.
+                IndexKind::TwoLevel => self.masked_row_pairs(t, target) != 0,
                 IndexKind::Hash => {
                     let map = &self.hash;
                     row_has_pair(&self.syn, t, target, |v| map.get(v).unwrap_or(0))
@@ -965,13 +1042,9 @@ impl SyndromeWorkspace {
                 IndexKind::TwoLevel => {
                     // Spill-row probes are exact and bound-checked, so
                     // build the whole index once (no trailing) and run
-                    // the screen-first kernel.
+                    // the mask-then-resolve kernel.
                     self.ensure_indexed(codeword_len - 2);
-                    if self.bitsliced {
-                        self.sweep_w34_bitsliced(codeword_len, zb3, zb4)
-                    } else {
-                        self.sweep_w34_twolevel(codeword_len, zb3, zb4)
-                    }
+                    self.sweep_w34_masked(codeword_len, zb3, zb4)
                 }
                 IndexKind::Hash => self.sweep_w34_hash(codeword_len, zb3, zb4),
             };
@@ -1153,30 +1226,22 @@ impl SyndromeWorkspace {
         out
     }
 
-    /// The wide-width weights sweep over the two-level index. The inner
-    /// pair loop leads with the 16 KiB presence screen — one L1 load and
-    /// a predicted-not-taken branch kill almost every probe before it
-    /// touches the (much larger) bucket directory, which is what buys
-    /// the 32-bit speedup over the hash sweep. Probes run against the
-    /// *full* syndrome table on purpose: on a reused binding the
-    /// directory and spill rows may reference positions past this
+    /// The wide-width weights sweep over the two-level index: the
+    /// weight-3 probe per degree, and [`Self::masked_row_pairs`] — the
+    /// kernel the weight-4 hunt runs too — for the pair rows. Probes run
+    /// against the *full* syndrome table on purpose: on a reused binding
+    /// the directory and spill rows may reference positions past this
     /// sweep's length (from an earlier longer scan), and the explicit
-    /// `< t` bounds in [`twolevel_pair_hit`] make that safe where a
-    /// truncated slice would panic.
-    fn sweep_w34_twolevel(&self, codeword_len: u32, zb3: u32, zb4: u32) -> Sweep {
-        let syn = &self.syn[..];
-        let screen = &self.wscreen[..1 << (WIDE_SCREEN_BITS - 6)];
-        let dir = &self.dir[..1usize << self.dir_bits];
-        let rows = &self.rows[..];
-        let shift = self.dir_shift;
+    /// `< t` bounds make that safe where a truncated slice would panic.
+    fn sweep_w34_masked(&self, codeword_len: u32, zb3: u32, zb4: u32) -> Sweep {
         let l = codeword_len as u64;
         let mut out = Sweep::default();
         let t_start = zb3.min(zb4).max(2);
         for t in t_start..codeword_len {
-            let target = 1 ^ syn[t as usize];
+            let target = 1 ^ self.syn[t as usize];
             let shifts = (l - t as u64) as u128;
             if t >= zb3 {
-                let p = twolevel_pos(syn, screen, dir, shift, rows, target);
+                let p = self.pos_of(target);
                 if p != 0 && p < t {
                     out.w3 += shifts;
                     if out.first3 == 0 {
@@ -1185,16 +1250,7 @@ impl SyndromeWorkspace {
                 }
             }
             if t >= zb4 {
-                let mut pairs = 0u64;
-                for (k, &s) in syn[1..t as usize].iter().enumerate() {
-                    let v = target ^ s;
-                    let low = v as usize & ((1 << WIDE_SCREEN_BITS) - 1);
-                    if screen[low >> 6] & (1u64 << (low & 63)) == 0 {
-                        continue;
-                    }
-                    let i = (k + 1) as u32;
-                    pairs += twolevel_pair_hit(syn, dir, shift, rows, v, i, t) as u64;
-                }
+                let pairs = self.masked_row_pairs(t, target);
                 if pairs != 0 {
                     out.w4 += pairs as u128 * shifts;
                     if out.first4 == 0 {
@@ -1206,65 +1262,42 @@ impl SyndromeWorkspace {
         out
     }
 
-    /// The batch (mask-then-resolve) variant of the two-level sweep for
-    /// [`IndexPolicy::Bitsliced`] bindings: pass 1 runs the presence
-    /// screen over 64-position blocks branch-free, packing survivors
-    /// into a lane mask; pass 2 resolves only the set lanes against the
-    /// directory. Separating the always-run screen from the almost-never
-    /// -run resolve keeps the hot pass free of unpredictable branches
-    /// (the screen's ~5% hit rate is poison for a fused loop's branch
-    /// predictor) and pairs with the block-extended syndrome table from
-    /// [`crate::bitslice`].
-    fn sweep_w34_bitsliced(&self, codeword_len: u32, zb3: u32, zb4: u32) -> Sweep {
+    /// The two-level pair kernel: how many pairs `i < p < t` have
+    /// `r(i) ^ r(p) = target`? Pass 1 runs the presence screen over
+    /// 64-position blocks branch-free, packing survivors into a lane
+    /// mask; pass 2 resolves only the set lanes against the directory.
+    /// Separating the always-run screen from the almost-never-run
+    /// resolve keeps the hot pass free of unpredictable branches (a
+    /// screen hit rate of a few percent is poison for a fused loop's
+    /// branch predictor). Callers keep `t` at most the order + 1, where a
+    /// first occurrence is the only occurrence below `t`.
+    fn masked_row_pairs(&self, t: u32, target: u64) -> u64 {
         let syn = &self.syn[..];
-        let screen = &self.wscreen[..1 << (WIDE_SCREEN_BITS - 6)];
+        let screen: &[u64; WIDE_SCREEN_WORDS] = self.wscreen[..]
+            .try_into()
+            .expect("two-level bindings allocate the screen");
         let dir = &self.dir[..1usize << self.dir_bits];
-        let rows = &self.rows[..];
-        let shift = self.dir_shift;
-        let l = codeword_len as u64;
-        let mut out = Sweep::default();
-        let t_start = zb3.min(zb4).max(2);
-        for t in t_start..codeword_len {
-            let target = 1 ^ syn[t as usize];
-            let shifts = (l - t as u64) as u128;
-            if t >= zb3 {
-                let p = twolevel_pos(syn, screen, dir, shift, rows, target);
-                if p != 0 && p < t {
-                    out.w3 += shifts;
-                    if out.first3 == 0 {
-                        out.first3 = t;
-                    }
-                }
+        let (rows, shift) = (&self.rows[..], self.dir_shift);
+        let mut pairs = 0u64;
+        for (block, lanes) in syn[1..t as usize].chunks(64).enumerate() {
+            // Each lane's screen bit shifts in from the top, so lane k
+            // ends at bit k with constant shifts only (a variable
+            // `<< lane` costs x86 three uops).
+            let mut mask = 0u64;
+            for &s in lanes {
+                let low = (target ^ s) as usize & ((1 << WIDE_SCREEN_BITS) - 1);
+                mask = (mask >> 1) | (screen[low >> 6] >> (low & 63)) << 63;
             }
-            if t >= zb4 {
-                let mut pairs = 0u64;
-                let row = &syn[1..t as usize];
-                let mut base = 0usize;
-                while base < row.len() {
-                    let lanes = (row.len() - base).min(64);
-                    let mut mask = 0u64;
-                    for (lane, &s) in row[base..base + lanes].iter().enumerate() {
-                        let low = (target ^ s) as usize & ((1 << WIDE_SCREEN_BITS) - 1);
-                        mask |= ((screen[low >> 6] >> (low & 63)) & 1) << lane;
-                    }
-                    while mask != 0 {
-                        let lane = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let v = target ^ row[base + lane];
-                        let i = (base + lane + 1) as u32;
-                        pairs += twolevel_pair_hit(syn, dir, shift, rows, v, i, t) as u64;
-                    }
-                    base += lanes;
-                }
-                if pairs != 0 {
-                    out.w4 += pairs as u128 * shifts;
-                    if out.first4 == 0 {
-                        out.first4 = t;
-                    }
-                }
+            mask >>= 64 - lanes.len();
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let v = target ^ lanes[lane];
+                let i = (block * 64 + lane + 1) as u32;
+                pairs += twolevel_pair_hit(syn, dir, shift, rows, v, i, t) as u64;
             }
         }
-        out
+        pairs
     }
 }
 
@@ -1392,6 +1425,9 @@ mod tests {
         assert!(two.positions_indexed() > 0);
         assert!(two.two_level_spill_positions() >= 2 * two.two_level_spill_rows());
         assert!(two.two_level_spill_positions() <= two.positions_indexed() as usize);
+        // The directory grew to hold its positions at most ¼ full.
+        assert!(two.two_level_dir_buckets() >= 4 * two.positions_indexed() as usize);
+        assert!(two.two_level_dir_buckets() < 8 * two.positions_indexed() as usize);
         // The hash accessors stay idle for a two-level binding.
         assert_eq!(two.hash_len(), 0);
 
@@ -1404,6 +1440,7 @@ mod tests {
         assert!(hash.hash_capacity() >= hash.hash_len());
         assert_eq!(hash.two_level_spill_rows(), 0);
         assert_eq!(hash.two_level_spill_positions(), 0);
+        assert_eq!(hash.two_level_dir_buckets(), 0);
     }
 
     #[test]

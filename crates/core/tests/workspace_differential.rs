@@ -11,7 +11,9 @@
 //! [`crc_hd::reference`], which still computes everything from scratch
 //! per call.
 
-use crc_hd::filter::{breakpoint_search, breakpoint_search_in, hd_filter_in, StagedFilter};
+use crc_hd::filter::{
+    breakpoint_search, breakpoint_search_in, hd_filter_in, FilterVerdict, StagedFilter,
+};
 use crc_hd::profile::HdProfile;
 use crc_hd::reference;
 use crc_hd::workspace::{IndexPolicy, SyndromeWorkspace};
@@ -289,6 +291,158 @@ fn one_workspace_survives_width_changes() {
                 reference::hd_filter(g, 48, 5).unwrap(),
                 "{g}"
             );
+        }
+    }
+}
+
+/// The bucket count a two-level directory holding `positions` positions
+/// must have: the smallest power of two at least four times the count,
+/// between `2^min(width, 10)` and `2^min(width, 20)`.
+fn expected_dir_buckets(width: u32, positions: u32) -> usize {
+    let (lo, hi) = (width.min(10), width.min(20));
+    let mut bits = lo;
+    while bits < hi && (positions as usize) * 4 > 1usize << bits {
+        bits += 1;
+    }
+    1 << bits
+}
+
+#[test]
+fn wide_widths_directory_doubles_across_crossover_widths() {
+    // ROADMAP item 4's crossovers: 17 (first two-level width), 20 (the
+    // directory cap covers the whole value space), 21 and 32 (capped
+    // directory, collisions spill). Each length below pushes the index
+    // across one more doubling (2^10 → 2^16 buckets at the MTU), so every
+    // step re-buckets the positions and spill rows the previous one
+    // filed; every answer must stay the scratch oracle's.
+    for width in [17u32, 20, 21, 32] {
+        let g = sample_polys(width, 1, 83)[0];
+        let mut ws = SyndromeWorkspace::new();
+        let mut seen = Vec::new();
+        let mut spilled = false;
+        for len in [200u32, 400, 800, 1600, 3200, 6400, 12_112] {
+            let got = ws.weights234(&g, len);
+            match (got, reference::weights234(&g, len)) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{g} len={len}"),
+                (Err(_), Err(_)) => {} // same refusal (past the order)
+                (a, b) => panic!("{g} len={len}: {a:?} vs {b:?}"),
+            }
+            let buckets = ws.two_level_dir_buckets();
+            assert_eq!(
+                buckets,
+                expected_dir_buckets(width, ws.positions_indexed()),
+                "{g} len={len}: directory not sized to its positions"
+            );
+            spilled |= ws.two_level_spill_rows() > 0;
+            seen.push(buckets);
+        }
+        assert!(seen.windows(2).all(|p| p[0] <= p[1]), "{g}: {seen:?}");
+        if width > 20 {
+            assert!(spilled, "{g}: a capped directory never spilled");
+        }
+        if width == 32 {
+            // 802.3's order is far past the MTU: every doubling happens.
+            let bits: Vec<u32> = seen.iter().map(|b| b.trailing_zeros()).collect();
+            assert_eq!(bits, (10..=16).collect::<Vec<u32>>(), "{g}");
+        }
+    }
+}
+
+#[test]
+fn wide_widths_rebind_right_after_a_grown_directory() {
+    // A grown directory must be cleared by replay at its grown size, and
+    // the next binding must start small again with nothing left behind
+    // — under every policy that binds the two-level index.
+    for policy in [
+        IndexPolicy::Auto,
+        IndexPolicy::ForceTwoLevel,
+        IndexPolicy::Bitsliced,
+    ] {
+        for width in [21u32, 32] {
+            let polys = sample_polys(width, 3, 89);
+            let mut ws = SyndromeWorkspace::with_policy(policy);
+            for round in 0..2 {
+                for g in &polys {
+                    // Grow on this binding...
+                    let long = ws.weights234(g, 3000);
+                    match (long, reference::weights234(g, 3000)) {
+                        (Ok(a), Ok(b)) => assert_eq!(a, b, "{g} {policy:?}"),
+                        (Err(_), Err(_)) => continue,
+                        (a, b) => panic!("{g}: {a:?} vs {b:?}"),
+                    }
+                    assert!(ws.two_level_dir_buckets() >= 1 << 14, "{g} {policy:?}");
+                }
+                // ...then rebind (the last binding above just grew) and
+                // ask short questions first.
+                for g in &polys {
+                    ws.bind(g);
+                    assert_eq!(ws.two_level_dir_buckets(), 1 << 10, "{g} {policy:?}");
+                    assert_eq!(ws.two_level_spill_rows(), 0, "{g} {policy:?}");
+                    for (len, hd) in [(40u32, 5u32), (300, 6), (1000, 5)] {
+                        assert_eq!(
+                            hd_filter_in(&mut ws, g, len, hd).unwrap(),
+                            reference::hd_filter(g, len, hd).unwrap(),
+                            "{g} len={len} hd={hd} {policy:?} round={round}"
+                        );
+                    }
+                    if let Ok(want) = reference::weights234(g, 500) {
+                        assert_eq!(ws.weights234(g, 500).unwrap(), want, "{g} {policy:?}");
+                    }
+                    // The next polynomial's rebind comes right after a
+                    // directory this binding just grew.
+                    ws.weights234(g, 2500).ok();
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn wide_widths_odd_generators_failing_at_weight_3_report_it() {
+    // The filter hunts weight 4 before it checks weight 3; a generator
+    // with a weight-3 codeword in range must still fail at 3, whether
+    // the hunt found a weight-4 codeword first or came back clean.
+    let mtu = 12_112u32;
+    let mut cases: Vec<(GenPoly, u32)> = Vec::new();
+    // x^32 + x^7 + 1 is itself weight 3: d_min(3) = 32, d_min(4) = 39,
+    // so data lengths up to 7 fail at 3 after a clean hunt, 8 and
+    // longer after a hit.
+    let trinomial = GenPoly::from_normal(32, 0x81).unwrap();
+    for data_len in [1u32, 6, 7, 8, 40, mtu] {
+        cases.push((trinomial, data_len));
+    }
+    // Random odd-weight draws whose weight-3 codeword lies within the
+    // MTU (about one draw in sixty), usually well past the weight-4 one.
+    let mut rng = SplitMix64::new(0x5EED_0003);
+    let mut found = 0;
+    let mut w4_first = 0;
+    while found < 3 {
+        let k = (1u64 << 31) | (rng.next_u64() & 0x7FFF_FFFF);
+        let g = GenPoly::from_koopman(32, k).unwrap();
+        if g.divisible_by_x_plus_1() {
+            continue;
+        }
+        if let Some(d3) = reference::dmin(&g, 3, mtu + 31).unwrap() {
+            found += 1;
+            if reference::dmin(&g, 4, d3 - 1).unwrap().is_some() {
+                w4_first += 1;
+            }
+            cases.push((g, mtu));
+        }
+    }
+    assert!(w4_first > 0, "no draw exercises a hunt that hits first");
+    for policy in WIDE_POLICIES {
+        let mut ws = SyndromeWorkspace::with_policy(policy);
+        for &(g, data_len) in &cases {
+            for hd in [5u32, 6] {
+                let want = reference::hd_filter(&g, data_len, hd).unwrap();
+                assert_eq!(want, FilterVerdict::FailAt(3), "{g} len={data_len}");
+                assert_eq!(
+                    hd_filter_in(&mut ws, &g, data_len, hd).unwrap(),
+                    want,
+                    "{g} len={data_len} hd={hd} {policy:?}"
+                );
+            }
         }
     }
 }

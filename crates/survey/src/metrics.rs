@@ -68,6 +68,9 @@ pub struct Engine {
     pub eta_ms: Arc<Gauge>,
     /// Positions held in the workspace value→position index.
     pub index_positions: Arc<Gauge>,
+    /// Bucket count of the two-level index's directory, which grows
+    /// with the positions it holds.
+    pub index_dir_buckets: Arc<Gauge>,
     /// Spill rows materialized by the two-level index.
     pub index_spill_rows: Arc<Gauge>,
     /// Positions stored in two-level spill rows.
@@ -167,6 +170,7 @@ pub fn engine() -> Option<&'static Engine> {
         polys_per_s: reg.gauge("survey.engine.polys_per_s"),
         eta_ms: reg.gauge("survey.engine.eta_ms"),
         index_positions: reg.gauge("survey.index.positions"),
+        index_dir_buckets: reg.gauge("survey.index.dir_buckets"),
         index_spill_rows: reg.gauge("survey.index.spill_rows"),
         index_spill_positions: reg.gauge("survey.index.spill_positions"),
         index_rehashes: reg.gauge("survey.index.rehashes"),
@@ -232,6 +236,8 @@ pub fn transport() -> Option<&'static Transport> {
 pub fn observe_index(ws: &crc_hd::SyndromeWorkspace) {
     if let Some(m) = engine() {
         m.index_positions.set_max(u64::from(ws.positions_indexed()));
+        m.index_dir_buckets
+            .set_max(ws.two_level_dir_buckets() as u64);
         m.index_spill_rows.set_max(ws.two_level_spill_rows() as u64);
         m.index_spill_positions
             .set_max(ws.two_level_spill_positions() as u64);
@@ -259,6 +265,23 @@ mod tests {
         assert!(coord().is_some());
         assert!(worker().is_some());
         assert!(transport().is_some());
+        reg.set_enabled(was);
+    }
+
+    #[test]
+    fn index_gauges_report_the_directory_size() {
+        let reg = telemetry::global();
+        let was = reg.enabled();
+        reg.set_enabled(true);
+        let g = crc_hd::GenPoly::from_koopman(32, 0x8260_8EDB).unwrap();
+        let mut ws = crc_hd::SyndromeWorkspace::new();
+        ws.weights234(&g, 12_112).unwrap();
+        assert_eq!(ws.two_level_dir_buckets(), 1 << 16);
+        observe_index(&ws);
+        // `>=`: the gauges keep the maximum over every workspace observed.
+        let m = engine().expect("enabled registry yields handles");
+        assert!(m.index_dir_buckets.get() >= 1 << 16);
+        assert!(m.index_positions.get() >= 12_142);
         reg.set_enabled(was);
     }
 }
