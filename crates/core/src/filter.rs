@@ -309,7 +309,7 @@ impl StagedFilter {
         &self.lengths
     }
 
-    /// Runs the pipeline, returning the final survivors and per-stage
+    /// Runs the staged filter, returning the final survivors and per-stage
     /// funnel statistics.
     ///
     /// Candidates walk the stages polynomial-major over one shared

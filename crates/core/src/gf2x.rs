@@ -18,10 +18,19 @@ use std::sync::OnceLock;
 
 /// Whether multiplies dispatch to the hardware CLMUL kernel (decided
 /// once; `CRC_HD_FORCE_GF2=soft` forces the portable path).
+///
+/// # Panics
+///
+/// Panics if `CRC_HD_FORCE_GF2` is set to a non-empty value other than
+/// `soft`: a typo must not silently run the hardware multiply.
 pub fn clmul_active() -> bool {
     static ACTIVE: OnceLock<bool> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        if std::env::var("CRC_HD_FORCE_GF2").as_deref() == Ok("soft") {
+        if let Some(forced) = std::env::var_os("CRC_HD_FORCE_GF2").filter(|v| !v.is_empty()) {
+            assert!(
+                forced == "soft",
+                "CRC_HD_FORCE_GF2={forced:?} is not a GF(2) multiply override (accepted: soft)"
+            );
             return false;
         }
         #[cfg(target_arch = "x86_64")]
@@ -227,5 +236,58 @@ mod tests {
         for e in [0u64, 1, 31, 32, 64, 127, 128, 12_112, 1 << 20] {
             assert_eq!(ctx.x_pow(e), syndrome_at(&g, e), "e={e}");
         }
+    }
+
+    #[test]
+    fn gf2_override_env_var_is_honored_or_fails_loudly() {
+        // The dispatch decision is process-global and cached, so each
+        // value runs in a child: this same test binary running the hidden
+        // `gf2_override_child` check.
+        let exe = std::env::current_exe().expect("test binary path");
+        let child = |value: &str| {
+            std::process::Command::new(&exe)
+                .args([
+                    "gf2x::tests::gf2_override_child",
+                    "--exact",
+                    "--nocapture",
+                    "--include-ignored",
+                ])
+                .env("CRC_HD_FORCE_GF2", value)
+                .env("CRC_HD_GF2_CHILD", "1")
+                .output()
+                .expect("spawn child test")
+        };
+        let out = child("soft");
+        assert!(
+            out.status.success(),
+            "soft must force the portable multiply: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        for typo in ["Soft", "sotf", "hard"] {
+            let out = child(typo);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{typo:?} must not be accepted");
+            assert!(
+                stderr.contains("CRC_HD_FORCE_GF2")
+                    && stderr.contains(&format!("{typo:?}"))
+                    && stderr.contains("accepted: soft"),
+                "{typo:?}: the panic must name the variable, the value and `soft`:\n{stderr}"
+            );
+        }
+    }
+
+    /// Child half of `gf2_override_env_var_is_honored_or_fails_loudly`;
+    /// ignored unless that test spawns it.
+    #[test]
+    #[ignore = "runs only as a child of gf2_override_env_var_is_honored_or_fails_loudly"]
+    fn gf2_override_child() {
+        if std::env::var_os("CRC_HD_GF2_CHILD").is_none() {
+            return;
+        }
+        assert!(
+            !clmul_active(),
+            "CRC_HD_FORCE_GF2=soft selects the soft path"
+        );
+        assert_eq!(mul64(0b1011, 0b110), mul64_soft(0b1011, 0b110));
     }
 }

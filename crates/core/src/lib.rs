@@ -25,7 +25,7 @@
 //!   enumeration at small lengths (ground truth for everything else).
 //! * [`profile`] — `HD`-vs-length profiles (a Table 1 row / Figure 1
 //!   curve) assembled from the above.
-//! * [`filter`] — the paper's §4.1 filtering pipeline: early-bailout
+//! * [`filter`] — the paper's §4.1 staged filter: early-bailout
 //!   enumeration, FCS-bits-first ordering, increasing-length staging and
 //!   inverse filtering, for the ablation experiments.
 //! * [`search`] — parallel exhaustive search over whole polynomial spaces

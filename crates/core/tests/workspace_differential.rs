@@ -159,12 +159,21 @@ fn wide_widths_identical_across_every_index_flavor() {
     // The PR-6 kernels (two-level index, bitsliced block extension,
     // persistent MITM maps) at the widths they exist for, against the
     // scratch oracle, under shuffled length/cap schedules: verdicts,
-    // weights, profiles and d_min must be bit-identical.
-    for width in [17u32, 24, 29, 32] {
+    // weights, profiles and d_min must be bit-identical. Widths 16, 33
+    // and 64 sit on the kernel crossovers (last direct index, first hash
+    // index, widest generator); width 64 trims the largest caps, where the
+    // scratch reference's weight-6 d_min and weight-8 profile take seconds
+    // per call.
+    for width in [16u32, 17, 24, 29, 32, 33, 64] {
+        let (caps, profile_len, profile_weight) = if width == 64 {
+            ([5u32, 160, 40, 200, 159], 200, 6)
+        } else {
+            ([5u32, 300, 40, 500, 299], 400, 8)
+        };
         for policy in WIDE_POLICIES {
             let mut ws = SyndromeWorkspace::with_policy(policy);
             for g in sample_polys(width, 4, 71) {
-                for cap in [5u32, 300, 40, 500, 299] {
+                for cap in caps {
                     for w in 2..=6u32 {
                         let got = ws.dmin(&g, w, cap).unwrap();
                         let want = reference::dmin(&g, w, cap).unwrap();
@@ -185,8 +194,8 @@ fn wide_widths_identical_across_every_index_flavor() {
                     let want = reference::hd_filter(&g, len, hd).unwrap();
                     assert_eq!(got, want, "{g} len={len} hd={hd} policy={policy:?}");
                 }
-                let got = HdProfile::compute_in(&mut ws, &g, 400, 8).unwrap();
-                let want = reference::profile(&g, 400, 8).unwrap();
+                let got = HdProfile::compute_in(&mut ws, &g, profile_len, profile_weight).unwrap();
+                let want = reference::profile(&g, profile_len, profile_weight).unwrap();
                 assert_eq!(got.dmins(), want.dmins(), "{g} policy={policy:?}");
                 assert_eq!(got.bands(), want.bands(), "{g} policy={policy:?}");
             }

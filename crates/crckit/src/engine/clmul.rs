@@ -29,7 +29,7 @@
 use super::fold::FoldTable;
 use super::Crc;
 
-/// Minimum length worth setting up the folding pipeline for; shorter
+/// Minimum length worth setting up the folding loop for; shorter
 /// inputs go straight to the slicing engine.
 const MIN_FOLD: usize = 64;
 

@@ -106,13 +106,25 @@ impl FromStr for EngineKind {
 }
 
 /// Picks the default tier: the `CRCKIT_FORCE_ENGINE` environment variable
-/// if set to a valid engine name, else CLMUL when the CPU supports it,
-/// else slicing-by-16.
+/// if set and non-empty, else CLMUL when the CPU supports it, else
+/// slicing-by-16.
+///
+/// # Panics
+///
+/// Panics if `CRCKIT_FORCE_ENGINE` names no engine tier: a typo must not
+/// silently fall back to auto-selection.
 fn select_engine() -> EngineKind {
-    if let Ok(forced) = std::env::var("CRCKIT_FORCE_ENGINE") {
-        if let Ok(kind) = forced.parse() {
-            return kind;
-        }
+    if let Some(forced) = std::env::var_os("CRCKIT_FORCE_ENGINE").filter(|v| !v.is_empty()) {
+        return forced
+            .to_str()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| {
+                let names: Vec<&str> = EngineKind::ALL.iter().map(|k| k.name()).collect();
+                panic!(
+                    "CRCKIT_FORCE_ENGINE={forced:?} names no engine tier (accepted: {})",
+                    names.join(", ")
+                )
+            });
     }
     if clmul::hardware_available() {
         EngineKind::Clmul
@@ -154,7 +166,9 @@ impl Crc {
     /// Panics if the parameters fail [`CrcParams::validate`] — parameter
     /// sets are almost always compile-time constants, so an `expect` here
     /// beats plumbing a `Result` through every call site. Use
-    /// [`Crc::try_new`] for run-time-assembled parameters.
+    /// [`Crc::try_new`] for run-time-assembled parameters. Also panics,
+    /// like [`Crc::try_new`], if `CRCKIT_FORCE_ENGINE` is set to a name
+    /// that is no engine tier.
     pub fn new(params: CrcParams) -> Crc {
         Crc::try_new(params).expect("invalid CRC parameters")
     }
@@ -164,6 +178,12 @@ impl Crc {
     /// # Errors
     ///
     /// Propagates [`CrcParams::validate`] errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `CRCKIT_FORCE_ENGINE` is set to a non-empty value that
+    /// names no engine tier (matched case-insensitively against
+    /// [`EngineKind::name`]).
     pub fn try_new(params: CrcParams) -> Result<Crc> {
         Crc::try_with_engine(params, select_engine())
     }

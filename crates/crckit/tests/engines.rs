@@ -177,8 +177,8 @@ fn forced_engine_env_var_is_honored() {
     // child process keeps this hermetic). The child is this same test
     // binary running the hidden `forced_engine_child` check.
     let exe = std::env::current_exe().expect("test binary path");
-    for force in ["chorba", "SLICE16", "bytewise"] {
-        let out = std::process::Command::new(&exe)
+    let child = |force: &str, expect: &str| {
+        std::process::Command::new(&exe)
             .args([
                 "forced_engine_child",
                 "--exact",
@@ -186,14 +186,41 @@ fn forced_engine_env_var_is_honored() {
                 "--include-ignored",
             ])
             .env("CRCKIT_FORCE_ENGINE", force)
-            .env("CRCKIT_EXPECT_ENGINE", force.to_lowercase())
+            .env("CRCKIT_EXPECT_ENGINE", expect)
             .output()
-            .expect("spawn child test");
+            .expect("spawn child test")
+    };
+    // An empty value means "not forced": auto-selection.
+    let auto = if EngineKind::Clmul.is_hardware_accelerated() {
+        "clmul"
+    } else {
+        "slice16"
+    };
+    for (force, expect) in [
+        ("chorba", "chorba"),
+        ("SLICE16", "slice16"),
+        ("bytewise", "bytewise"),
+        ("", auto),
+    ] {
+        let out = child(force, expect);
         assert!(
             out.status.success(),
-            "forcing {force}: {}\n{}",
+            "forcing {force:?}: {}\n{}",
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    // A typo must panic naming the variable, the value and every tier,
+    // never fall back to auto-selection silently.
+    for typo in ["slcie16", "clmul2", "auto"] {
+        let out = child(typo, "none");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{typo:?} must not be accepted");
+        assert!(
+            stderr.contains("CRCKIT_FORCE_ENGINE")
+                && stderr.contains(&format!("{typo:?}"))
+                && EngineKind::ALL.iter().all(|k| stderr.contains(k.name())),
+            "{typo:?}: the panic must name the variable, the value and every tier:\n{stderr}"
         );
     }
 }

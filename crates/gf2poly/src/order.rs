@@ -14,19 +14,19 @@ use crate::modring::ModCtx;
 use crate::poly::Poly;
 use crate::{Error, Result};
 
-/// Multiplicative order of `x` modulo an irreducible `p` of degree `d ≤ 63`:
+/// Multiplicative order of `x` modulo an irreducible `p` of degree `d ≤ 64`:
 /// the smallest divisor `e` of `2^d − 1` with `x^e ≡ 1`.
 ///
 /// # Errors
 ///
 /// [`Error::ZeroPolynomial`] for constants, [`Error::DegreeOverflow`] for
-/// degree > 63.
+/// degree > 64.
 pub fn order_of_x_irreducible(p: Poly) -> Result<u64> {
     let d = match p.degree() {
         None | Some(0) => return Err(Error::ZeroPolynomial),
         Some(d) => d,
     };
-    if d > 63 {
+    if d > 64 {
         return Err(Error::DegreeOverflow);
     }
     if p == Poly::X {
@@ -36,7 +36,7 @@ pub fn order_of_x_irreducible(p: Poly) -> Result<u64> {
         return Ok(1);
     }
     let ctx = ModCtx::new(p)?;
-    let group = (1u64 << d) - 1;
+    let group = u64::MAX >> (64 - d);
     debug_assert_eq!(
         ctx.x_pow(group),
         Poly::ONE,
@@ -129,6 +129,17 @@ mod tests {
         assert_eq!(order_of_x_irreducible(Poly::from_mask(0b11111)).unwrap(), 5);
         assert_eq!(order_of_x_irreducible(Poly::X_PLUS_1).unwrap(), 1);
         assert!(order_of_x_irreducible(Poly::X).is_err());
+    }
+
+    #[test]
+    fn degree_64_irreducible_has_an_order() {
+        // x^64 + x^4 + x^3 + x + 1 is primitive: order 2^64 − 1, the
+        // largest group a 64-bit CRC generator can have.
+        let p = Poly::from_exponents(&[64, 4, 3, 1, 0]);
+        assert_eq!(order_of_x_irreducible(p).unwrap(), u64::MAX);
+        assert_eq!(order_of_x(p).unwrap(), u64::MAX as u128);
+        let too_wide = Poly::from_exponents(&[65, 1, 0]);
+        assert_eq!(order_of_x_irreducible(too_wide), Err(Error::DegreeOverflow));
     }
 
     #[test]

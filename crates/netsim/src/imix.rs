@@ -148,8 +148,7 @@ impl Merge for MixStats {
 
 impl Simulator {
     /// Pushes mixed-size frames through forks of `channel`, tallying per
-    /// class — the sharded, batch-driven form of [`run_mix`], which also
-    /// honors [`Simulator::pipelined`] mode.
+    /// class — the sharded, batch-driven form of [`run_mix`].
     pub fn run_mix(
         &self,
         codec: &FrameCodec,
@@ -219,7 +218,7 @@ pub fn run_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{BscChannel, GilbertElliottChannel};
+    use crate::channel::{BscChannel, GilbertElliottChannel, JammerChannel};
     use crckit::catalog;
     use rand::SeedableRng;
 
@@ -271,19 +270,28 @@ mod tests {
 
     #[test]
     fn mix_stats_are_identical_across_thread_counts() {
+        // The delta path (Gilbert–Elliott) and the eager path (jammer).
         let codec = FrameCodec::new(catalog::CRC32_ISCSI);
         let mix = TrafficMix::simple_imix();
-        let ch = GilbertElliottChannel::new(1e-4, 1e-2, 1e-7, 1e-2);
-        let one = Simulator::new()
-            .threads(1)
-            .run_mix(&codec, &ch, &mix, 4_000, 5);
-        let four = Simulator::new()
-            .threads(4)
-            .run_mix(&codec, &ch, &mix, 4_000, 5);
-        assert_eq!(one.per_class.len(), four.per_class.len());
-        for ((ca, sa), (cb, sb)) in one.per_class.iter().zip(&four.per_class) {
-            assert_eq!(ca, cb);
-            assert_eq!(sa, sb, "per-class divergence for {}", ca.label);
+        for (ch, trials, seed) in [
+            (
+                &GilbertElliottChannel::new(1e-4, 1e-2, 1e-7, 1e-2) as &dyn Channel,
+                4_000,
+                5,
+            ),
+            (&JammerChannel::hdlc(0.3), 3_000, 21),
+        ] {
+            let one = Simulator::new()
+                .threads(1)
+                .run_mix(&codec, ch, &mix, trials, seed);
+            let four = Simulator::new()
+                .threads(4)
+                .run_mix(&codec, ch, &mix, trials, seed);
+            assert_eq!(one.per_class.len(), four.per_class.len());
+            for ((ca, sa), (cb, sb)) in one.per_class.iter().zip(&four.per_class) {
+                assert_eq!(ca, cb);
+                assert_eq!(sa, sb, "per-class divergence for {}", ca.label);
+            }
         }
     }
 

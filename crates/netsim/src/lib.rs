@@ -27,17 +27,19 @@
 //!
 //! # The sharded architecture
 //!
-//! A run of `trials` frames is split into fixed-size shards (default
-//! [`Simulator::DEFAULT_SHARD_FRAMES`] = 1024 frames; the tail shard may
+//! A run of `trials` frames is split into shards of
+//! [`Simulator::DEFAULT_SHARD_FRAMES`] = 1024 frames (the tail shard may
 //! be short). Worker threads — one per core by default — claim shard
 //! indices from an atomic counter, so scheduling is dynamic, but the
 //! *work* inside shard `i` is a pure function of the configuration:
 //!
-//! * the payload RNG is seeded with [`montecarlo::shard_seed`]
-//!   `(cfg.seed, i, 0)`;
-//! * the channel is [`Channel::fork`]ed with `shard_seed(cfg.seed, i, 1)`,
-//!   which resets all channel state (RNG *and* e.g. the Gilbert–Elliott
-//!   Markov state);
+//! * frame planning (lengths, traffic classes) and payload bytes draw
+//!   from RNGs seeded with [`montecarlo::shard_seed`]`(cfg.seed, i, s)`
+//!   for [`montecarlo::STREAM_PLAN`] and [`montecarlo::STREAM_FILL`];
+//! * the channel is [`Channel::fork`]ed with
+//!   `shard_seed(cfg.seed, i, `[`montecarlo::STREAM_CHANNEL`]`)`, which
+//!   resets all channel state (RNG *and* e.g. the Gilbert–Elliott Markov
+//!   state);
 //! * tallies merge by exact integer sums ([`TrialStats::merge`]),
 //!   commutative and associative.
 //!
@@ -50,18 +52,13 @@
 //! and the corrupted subset is verified in one
 //! [`FrameCodec::verify_batch`] call.
 //!
-//! # The two-stage pipeline, and when eager vs delta applies
+//! # Two stages, and when eager vs delta applies
 //!
 //! Every burst passes through a **produce** stage (plan frame lengths,
-//! prepare buffers, run the channel — RNG-bound) and a **consume** stage
-//! (compose payloads, batch-verify, tally — CRC-bound). The two stages
-//! draw from disjoint [`montecarlo::shard_seed`] streams
-//! ([`montecarlo::STREAM_PLAN`], [`montecarlo::STREAM_CHANNEL`],
-//! [`montecarlo::STREAM_FILL`]), so [`Simulator::pipelined`] mode can
-//! pair worker threads into producer/consumer lanes with bursts
-//! double-buffered between them — channel randomness for shard `k+1`
-//! overlaps CRC verification of shard `k` — while tallying
-//! **bit-identically** to sharded mode at any thread count.
+//! prepare buffers, run the channel) and then a **consume** stage
+//! (compose payloads, batch-verify, tally) on the worker that claimed the
+//! shard. The plan, channel and fill streams are disjoint, so a stage's
+//! draw count never shifts another stage's draws.
 //!
 //! Which stage fills payloads depends on the channel:
 //!
@@ -79,14 +76,16 @@
 //! # Reproducing a CI simulation run locally
 //!
 //! CI's `sim-determinism` job runs
-//! `cargo run --release -p crc-experiments --bin sim_determinism -- --threads T --mode M --out out.json`
-//! at `T = 1` and `T = 4` in both `sharded` and `pipelined` mode and
-//! requires all four JSON files byte-identical. To reproduce any of its
-//! scenarios, build the same `Simulator` (the defaults —
-//! `DEFAULT_SHARD_FRAMES` and any thread count or mode — match CI) with
-//! the seed printed in the JSON; per-shard streams derive from
-//! [`montecarlo::shard_seed`] as described above, so even a single shard
-//! can be replayed in isolation.
+//! `cargo run --release -p crc-experiments --bin sim_determinism -- --threads T --out out.json`
+//! at `T = 1` and `T = 4` and diffs both files against the committed
+//! golden `tests/golden/sim_determinism.json`; the root test
+//! `tests/sim_golden.rs` checks three of its rows the same way at 1 and 3
+//! threads. The thread count never changes a tally, so running the same
+//! command at any `T` and diffing against the golden reproduces the job.
+//! To replay one scenario, build a `Simulator` (its only setting is the
+//! thread count) with the seed printed in the JSON; per-shard streams
+//! derive from [`montecarlo::shard_seed`] as described above, so even a
+//! single shard can be replayed in isolation.
 //!
 //! # Quick start
 //!

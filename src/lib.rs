@@ -8,8 +8,8 @@
 //! * [`crckit`] — the CRC engine a downstream user adopts (Rocksoft
 //!   parameters, three engines, notation conversions, framing, catalog).
 //! * [`crc_hd`] — the paper's contribution: Hamming-distance evaluation,
-//!   `d_min` searches, weight counting, HD profiles, the §4.1 filtering
-//!   pipeline, and exhaustive/sampled polynomial search.
+//!   `d_min` searches, weight counting, HD profiles, the §4.1 staged
+//!   filter, and exhaustive/sampled polynomial search.
 //! * [`netsim`] — channel and framing simulation for end-to-end
 //!   demonstrations.
 //! * [`crc_survey`] — sharded, checkpointable survey campaigns over

@@ -1,4 +1,4 @@
-//! Cross-crate integration: the full pipeline from polynomial search to
+//! Cross-crate integration: end to end from polynomial search to
 //! framed traffic on a noisy channel.
 
 use koopman_crc::crc_hd::search::exhaustive_search;
@@ -14,7 +14,7 @@ use koopman_crc::netsim::montecarlo::{
 /// Search → adopt → frame → verify: find the best 8-bit polynomial for a
 /// 16-bit payload, wire it into a CRC engine, and check it on traffic.
 #[test]
-fn search_to_traffic_pipeline() {
+fn search_to_traffic_end_to_end() {
     // 1. Find the best achievable HD at 16 data bits over all 8-bit polys.
     let mut chosen = None;
     for hd in (3..=7).rev() {
